@@ -30,6 +30,7 @@ import numpy as np
 from repro.core.config import NitroConfig, NitroMode
 from repro.core.geometric import GeometricSampler, geometric_positions
 from repro.core.modes import AlwaysCorrectController, AlwaysLineRateController
+from repro.kernels.distinct import run_starts, sorted_distinct
 from repro.sketches.base import CanonicalSketch
 from repro.sketches.topk import TopK
 from repro.telemetry import NULL_TELEMETRY
@@ -367,28 +368,27 @@ class NitroSketch:
         )
         self.ops.counter_update(len(positions))
 
-        sampled_packets = int(np.unique(packet_idx).size)
+        # Positions ascend, so each sampled packet's slots are adjacent.
+        packet_starts = run_starts(packet_idx)
+        sampled_packets = int(np.count_nonzero(packet_starts))
         self.packets_sampled += sampled_packets
         self._telemetry.count("nitro_sampled_packets_total", sampled_packets)
         self._telemetry.count("nitro_geometric_draws_total", len(positions))
         if self.topk is not None:
             with profiler.stage("query"):
-                unique_keys = np.unique(sampled_keys)
+                unique_keys = sorted_distinct(sampled_keys[packet_starts])
                 # Scalar ingest probes the heap once per *sampled packet*.
-                self.ops.table_lookup(max(sampled_packets - len(unique_keys), 0))
+                self.ops.table_lookup(sampled_packets - len(unique_keys))
                 estimates = self.sketch.query_batch(unique_keys)
-                for key, estimate in zip(unique_keys.tolist(), estimates.tolist()):
-                    self.topk.offer(int(key), float(estimate))
+                self.topk.offer_sorted(unique_keys, estimates)
 
     def _offer_topk(self, keys: "np.ndarray", count: int) -> None:
         """Offer each distinct key of an exact-phase batch to the heap."""
         if self.topk is None:
             return
-        unique_keys = np.unique(keys)
+        unique_keys = sorted_distinct(keys)
         self.ops.table_lookup(count - len(unique_keys))
-        estimates = self.sketch.query_batch(unique_keys)
-        for key, estimate in zip(unique_keys.tolist(), estimates.tolist()):
-            self.topk.offer(int(key), float(estimate))
+        self.topk.offer_sorted(unique_keys, self.sketch.query_batch(unique_keys))
 
     # -- queries -----------------------------------------------------------------
 
@@ -439,11 +439,11 @@ class NitroSketch:
             # post-merge estimate: our keys' stored estimates predate the
             # merge, and leaving them stale would let eviction order be
             # driven by pre-merge counts.
-            tracked = sorted(set(self.topk.keys()) | set(other.topk.keys()))
-            if tracked:
-                estimates = self.sketch.query_batch(np.asarray(tracked))
-                for key, estimate in zip(tracked, estimates.tolist()):
-                    self.topk.offer(int(key), float(estimate))
+            tracked = np.asarray(
+                sorted(set(self.topk.keys()) | set(other.topk.keys()))
+            )
+            if tracked.size:
+                self.topk.offer_sorted(tracked, self.sketch.query_batch(tracked))
 
     # -- invariants ---------------------------------------------------------------
 

@@ -8,12 +8,15 @@ Every batch update/query in the repository routes through this layer
 * :mod:`repro.kernels.scatter` -- flat-index ``bincount`` scatter-adds
   (replaces per-row ``np.add.at`` loops);
 * :mod:`repro.kernels.rowkernel` -- :class:`SketchKernel`, the fused
-  whole-sketch update/query engine (replaces per-row Python loops).
+  whole-sketch update/query engine (replaces per-row Python loops);
+* :mod:`repro.kernels.distinct` -- sort-and-mask distinct values
+  (replaces ``np.unique`` on the batch paths).
 
 ``benchmarks/bench_kernels.py`` measures the kernels against the seed
 implementations; ``scripts/check_perf.py`` guards the recorded speedups.
 """
 
+from repro.kernels.distinct import run_starts, sorted_distinct
 from repro.kernels.mersenne import (
     fold_mersenne,
     kwise_raw_batch,
@@ -29,6 +32,8 @@ __all__ = [
     "kwise_raw_batch",
     "mulmod_mersenne",
     "reduce_keys_mersenne",
+    "run_starts",
     "scatter_add_2d",
     "scatter_add_flat",
+    "sorted_distinct",
 ]

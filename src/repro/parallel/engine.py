@@ -504,13 +504,12 @@ def _combine_shared(
         )
     topk = getattr(base, "topk", None)
     if topk is not None:
-        candidates = sorted(
-            {key for meta in metas for key in meta.get("topk_keys", [])}
+        candidates = np.asarray(
+            sorted({key for meta in metas for key in meta.get("topk_keys", [])}),
+            dtype=np.int64,
         )
-        if candidates:
-            estimates = sketch.query_batch(np.asarray(candidates, dtype=np.int64))
-            for key, estimate in zip(candidates, estimates.tolist()):
-                topk.offer(int(key), float(estimate))
+        if candidates.size:
+            topk.offer_sorted(candidates, sketch.query_batch(candidates))
     return base
 
 

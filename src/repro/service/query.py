@@ -27,11 +27,12 @@ caller can see not just the answer but whether the sketch currently
 *proves* its error envelope.
 
 Queries never create tenants (an estimate for a tenant that never
-ingested is meaningless -- 404) but do transparently restore evicted
-ones from checkpoint.  Every handler runs under the tenant's lock, so
-answers are consistent with concurrent drain; the ``service`` selfcheck
-suite verifies query-during-ingest answers stay inside the Theorem-2
-envelope.
+ingested is meaningless -- 404) and answer evicted ones from a detached
+view restored from their newest checkpoint, without making them
+resident (:meth:`~repro.service.tenants.TenantManager.get`).  Every
+handler runs under the tenant's lock, so answers are consistent with
+concurrent drain; the ``service`` selfcheck suite verifies
+query-during-ingest answers stay inside the Theorem-2 envelope.
 """
 
 from __future__ import annotations

@@ -77,15 +77,30 @@ def decode_keys(payload: bytes) -> "np.ndarray":
 
 def encode_frame(op: str, tenant: Optional[str] = None, keys=None) -> bytes:
     """One complete wire frame (header line + optional payload)."""
+    header, payload = frame_parts(op, tenant, keys)
+    return header + payload.tobytes()
+
+
+def frame_parts(
+    op: str, tenant: Optional[str] = None, keys=None
+) -> Tuple[bytes, "np.ndarray"]:
+    """A wire frame as ``(header line, payload)`` without joining them.
+
+    The payload is the key array itself in wire dtype (a view, no copy,
+    when ``keys`` already is contiguous little-endian int64; empty for
+    ops without keys), so a sender can hand both pieces to the socket
+    without copying the payload.
+    """
     if op not in OPS:
         raise ValueError("unknown op %r" % (op,))
     header: Dict[str, object] = {"op": op}
     if op != "bye":
         header["tenant"] = validate_tenant(tenant)
-    payload = b""
+    payload = np.ascontiguousarray(
+        keys if op == "ingest" and keys is not None else [], dtype=KEY_DTYPE
+    )
     if op == "ingest":
-        payload = encode_keys(keys if keys is not None else [])
-        header["count"] = len(payload) // KEY_DTYPE.itemsize
+        header["count"] = len(payload)
         if header["count"] > MAX_FRAME_KEYS:
             raise ValueError(
                 "frame carries %d keys, cap is %d" % (header["count"], MAX_FRAME_KEYS)
@@ -95,7 +110,7 @@ def encode_frame(op: str, tenant: Optional[str] = None, keys=None) -> bytes:
     line = json.dumps(header, separators=(",", ":")).encode("ascii") + b"\n"
     if len(line) > MAX_HEADER_BYTES:
         raise ValueError("header too long (%d bytes)" % len(line))
-    return line + payload
+    return line, payload
 
 
 def decode_header(line: bytes) -> Tuple[str, Optional[str], int]:
@@ -132,11 +147,12 @@ def batch_from_keys(keys: "np.ndarray") -> Batch:
 
     The wire carries flow keys only (the sketch needs nothing else);
     sizes and timestamps are synthesised as the replayer would for an
-    un-timestamped trace.
+    un-timestamped trace.  Both are constant, so they are read-only
+    broadcast views rather than two fresh arrays per frame.
     """
     n = len(keys)
     return Batch(
         keys=keys,
-        sizes=np.full(n, 64.0),
-        timestamps=np.zeros(n),
+        sizes=np.broadcast_to(np.float64(64.0), (n,)),
+        timestamps=np.broadcast_to(np.float64(0.0), (n,)),
     )

@@ -32,8 +32,11 @@ exposition consistent underneath both.
 from __future__ import annotations
 
 import asyncio
+import socket
 import threading
 from typing import Dict, List, Optional
+
+import numpy as np
 
 from repro.service import records
 from repro.service.query import QueryRoutes
@@ -46,8 +49,69 @@ from repro.telemetry.health import HealthEvaluator, QueueSaturationRule, default
 #: yielding -- bounds per-tenant latency under multi-tenant load.
 DRAIN_QUANTUM = 32
 
-#: Idle-sweep / gauge-export cadence (seconds) when no ingest arrives.
+#: Idle-sweep / gauge-export cadence (seconds).
 IDLE_TICK_SECONDS = 0.5
+
+#: Longest a ``sync`` waits between queue-depth checks.  The drainer
+#: wakes waiting syncs after every quantum, so this only bounds the wait
+#: when a queue empties some other way (eviction, shutdown drain).
+SYNC_RECHECK_SECONDS = 0.01
+
+
+class _FrameSocket:
+    """Frame reads and replies on one non-blocking client socket.
+
+    Header lines come through a small staging buffer; an ingest payload
+    is received straight into the buffer the batch's keys will view, so
+    at most one staging chunk of it is copied in user space (asyncio's
+    ``StreamReader`` copies every payload byte twice more).
+    """
+
+    def __init__(self, loop: asyncio.AbstractEventLoop, sock: socket.socket) -> None:
+        self._loop = loop
+        self._sock = sock
+        self._chunk = bytearray(records.MAX_HEADER_BYTES)
+        self._pending = bytearray()  # received, not yet consumed
+
+    async def _recv_chunk(self) -> int:
+        got = await self._loop.sock_recv_into(self._sock, self._chunk)
+        self._pending += memoryview(self._chunk)[:got]
+        return got
+
+    async def readline(self) -> bytes:
+        """The next ``\\n``-terminated line; what is left at EOF (``b""``
+        on a clean close).  ``ValueError`` if no newline arrives within
+        :data:`~repro.service.records.MAX_HEADER_BYTES`."""
+        pending = self._pending
+        while True:
+            end = pending.find(b"\n", 0, records.MAX_HEADER_BYTES)
+            if end >= 0:
+                line = bytes(pending[: end + 1])
+                del pending[: end + 1]
+                return line
+            if len(pending) >= records.MAX_HEADER_BYTES:
+                raise ValueError("header line over %d bytes" % records.MAX_HEADER_BYTES)
+            if not await self._recv_chunk():
+                line = bytes(pending)
+                pending.clear()
+                return line
+
+    async def readexactly(self, size: int) -> np.ndarray:
+        """Exactly ``size`` bytes as a fresh uint8 array."""
+        payload = np.empty(size, dtype=np.uint8)
+        view = memoryview(payload)
+        filled = min(size, len(self._pending))
+        view[:filled] = self._pending[:filled]
+        del self._pending[:filled]
+        while filled < size:
+            got = await self._loop.sock_recv_into(self._sock, view[filled:])
+            if not got:
+                raise asyncio.IncompleteReadError(bytes(view[:filled]), size)
+            filled += got
+        return payload
+
+    async def write(self, data: bytes) -> None:
+        await self._loop.sock_sendall(self._sock, data)
 
 
 class MonitoringService:
@@ -97,12 +161,13 @@ class MonitoringService:
         )
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
-        self._server: Optional[asyncio.AbstractServer] = None
+        self._connections: set = set()  # live connection tasks
         self._http_server: Optional[TelemetryServer] = None
         self._ready = threading.Event()
         self._stopping = False
         self._started = False
         self._work: Optional[asyncio.Event] = None
+        self._drained: Optional[asyncio.Event] = None
         self.ingest_port: Optional[int] = None
         self.http_port: Optional[int] = None
         self.connections_active = 0
@@ -183,26 +248,54 @@ class MonitoringService:
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._work = asyncio.Event()
+        self._drained = asyncio.Event()
         try:
-            self._server = await asyncio.start_server(
-                self._handle_connection,
-                host=self.host,
-                port=self._requested_ingest_port,
+            family = socket.getaddrinfo(self.host, None, type=socket.SOCK_STREAM)[0][0]
+            listener = socket.create_server(
+                (self.host, self._requested_ingest_port), family=family
             )
         except OSError as exc:
             self._startup_error = exc
             self._ready.set()
             return
-        self.ingest_port = self._server.sockets[0].getsockname()[1]
+        listener.setblocking(False)
+        self.ingest_port = listener.getsockname()[1]
         self._ready.set()
         drainer = asyncio.ensure_future(self._drain_loop())
+        ticker = asyncio.ensure_future(self._tick_loop())
+        acceptor = asyncio.ensure_future(self._accept_loop(listener))
         try:
             while not self._stopping:
                 await asyncio.sleep(0.05)
         finally:
-            self._server.close()
-            await self._server.wait_closed()
+            acceptor.cancel()
+            ticker.cancel()
+            listener.close()
+            self._wake()
             await drainer
+
+    async def _tick_loop(self) -> None:
+        """Sweep idle tenants and refresh gauges, busy or not.
+
+        Its own task, so the drainer waits for work on a bare event (a
+        timed wait costs a task and a timer per wake-up, i.e. per frame
+        when the drainer keeps up with the wire).
+        """
+        while not self._stopping:
+            await asyncio.sleep(IDLE_TICK_SECONDS)
+            self.tenants.sweep_idle()
+            record_service_state(self.telemetry, self)
+
+    async def _accept_loop(self, listener: socket.socket) -> None:
+        loop = asyncio.get_running_loop()
+        while True:
+            sock, _ = await loop.sock_accept(listener)
+            sock.setblocking(False)
+            # Replies are single small writes the client waits on.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            task = asyncio.ensure_future(self._handle_connection(sock))
+            self._connections.add(task)
+            task.add_done_callback(self._connections.discard)
 
     async def _drain_loop(self) -> None:
         """Feed tenant queues into their sketches, round-robin.
@@ -213,13 +306,7 @@ class MonitoringService:
         """
         work = self._work
         while not self._stopping:
-            try:
-                await asyncio.wait_for(work.wait(), timeout=IDLE_TICK_SECONDS)
-            except asyncio.TimeoutError:
-                # Idle tick: sweep idle tenants, refresh gauges.
-                self.tenants.sweep_idle()
-                record_service_state(self.telemetry, self)
-                continue
+            await work.wait()
             work.clear()
             busy = True
             while busy and not self._stopping:
@@ -229,6 +316,7 @@ class MonitoringService:
                         drained = state.daemon.drain(DRAIN_QUANTUM)
                     if drained:
                         busy = True
+                        self._drained.set()
                         self.telemetry.gauge(
                             "service_queue_depth",
                             state.daemon.queue_depth,
@@ -238,15 +326,13 @@ class MonitoringService:
         # Shutdown: one final full drain so stop() has little left to do.
         self.tenants.drain_all()
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    async def _handle_connection(self, sock: socket.socket) -> None:
         self.connections_active += 1
         with self.telemetry.atomic():
             self.telemetry.count("service_connections_total")
             self.telemetry.gauge("service_connections_active", self.connections_active)
         try:
-            await self._serve_client(reader, writer)
+            await self._serve_client(_FrameSocket(self._loop, sock))
         except (
             asyncio.IncompleteReadError,
             ConnectionResetError,
@@ -258,19 +344,13 @@ class MonitoringService:
             self.telemetry.gauge(
                 "service_connections_active", self.connections_active
             )
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+            sock.close()
 
-    async def _serve_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    async def _serve_client(self, wire: _FrameSocket) -> None:
         while not self._stopping:
             try:
-                line = await reader.readline()
-            except (asyncio.LimitOverrunError, ValueError):
+                line = await wire.readline()
+            except ValueError:
                 self.telemetry.count("service_frames_total", outcome="oversized")
                 return
             if not line:
@@ -281,18 +361,23 @@ class MonitoringService:
                 self.telemetry.count("service_frames_total", outcome="malformed")
                 return  # framing is lost; close rather than guess
             if op == "bye":
-                await self._reply(writer, {"ok": True})
+                await self._reply(wire, {"ok": True})
                 return
             if op == "ingest":
-                payload = await reader.readexactly(payload_bytes)
+                payload = await wire.readexactly(payload_bytes)
                 await self._ingest_frame(tenant, payload)
+                # A read that finds its data waiting never suspends: let
+                # the drainer take this batch before the next frame, so
+                # it holds the tenant lock (and queries wait) for about
+                # one batch, not a whole backlog.
+                await asyncio.sleep(0)
             elif op == "sync":
                 await self._sync(tenant)
-                await self._reply(writer, self._tenant_stats(tenant))
+                await self._reply(wire, self._tenant_stats(tenant))
             elif op == "stats":
-                await self._reply(writer, self._tenant_stats(tenant))
+                await self._reply(wire, self._tenant_stats(tenant))
 
-    async def _ingest_frame(self, tenant: str, payload: bytes) -> None:
+    async def _ingest_frame(self, tenant: str, payload) -> None:
         keys = records.decode_keys(payload)
         batch = records.batch_from_keys(keys)
         state = self.tenants.get_or_create(tenant)
@@ -348,7 +433,15 @@ class MonitoringService:
             if depth == 0:
                 return
             self._wake()
-            await asyncio.sleep(0.001)
+            # No await since the depth check, so the drainer cannot have
+            # set the event in between: clearing loses no wake-up.
+            self._drained.clear()
+            try:
+                await asyncio.wait_for(
+                    self._drained.wait(), timeout=SYNC_RECHECK_SECONDS
+                )
+            except asyncio.TimeoutError:
+                pass
 
     def _tenant_stats(self, tenant: str) -> Dict[str, object]:
         state = self.tenants.get(tenant)
@@ -357,11 +450,10 @@ class MonitoringService:
         with state.lock:
             return state.stats()
 
-    async def _reply(self, writer: asyncio.StreamWriter, payload: Dict) -> None:
+    async def _reply(self, wire: _FrameSocket, payload: Dict) -> None:
         import json
 
-        writer.write(json.dumps(payload, separators=(",", ":")).encode() + b"\n")
-        await writer.drain()
+        await wire.write(json.dumps(payload, separators=(",", ":")).encode() + b"\n")
 
     # -- conveniences (tests, CLI) -------------------------------------------
 

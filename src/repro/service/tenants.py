@@ -19,7 +19,10 @@ the summed sketch bytes cross the configured budget, the
 least-recently-touched tenant drains its queue, checkpoints through the
 real :class:`~repro.control.checkpoint.CheckpointManager` machinery
 (NSKW v2 frames -- byte-exact on restore) and leaves memory.  The next
-ingest or query for that tenant transparently restores it.
+ingest for that tenant transparently restores it; a lookup that only
+reads (query, sync, stats) answers from a detached view restored from
+the same checkpoint (:meth:`TenantManager.get`), so reading an evicted
+tenant never evicts another one.
 """
 
 from __future__ import annotations
@@ -43,6 +46,9 @@ from repro.telemetry import NULL_TELEMETRY
 #: functions are independent of its sampler stream (both still pure
 #: functions of (base seed, tenant id)).
 _SKETCH_SEED_SALT = 0x5EED_5A17
+
+#: Detached views of evicted tenants kept for repeat reads (LRU).
+MAX_VIEWS = 8
 
 
 def tenant_stream_id(tenant: str) -> int:
@@ -215,6 +221,8 @@ class TenantManager:
         self.clock = clock
         self._lock = threading.RLock()
         self._tenants: "OrderedDict[str, TenantState]" = OrderedDict()
+        #: Detached, read-only views of evicted tenants (see :meth:`get`).
+        self._views: "OrderedDict[str, TenantState]" = OrderedDict()
         self.created = 0
         self.evicted = 0
         self.restored = 0
@@ -273,11 +281,12 @@ class TenantManager:
         """
         validate_tenant(tenant)
         with self._lock:
-            state = self._tenants.get(tenant)
+            state = self._touch(tenant)
             if state is not None:
-                self._tenants.move_to_end(tenant)
-                state.last_active = self.clock()
                 return state
+            # Resident from here on: its checkpoint may move, so a
+            # cached view would go stale.
+            self._views.pop(tenant, None)
             state = self._build_state(tenant)
             state.last_active = self.clock()
             if state.daemon.checkpoints is not None:
@@ -291,26 +300,56 @@ class TenantManager:
             return state
 
     def get(self, tenant: str) -> Optional[TenantState]:
-        """The resident state for ``tenant``; restores from checkpoint
-        if evicted earlier, but never creates a brand-new tenant."""
+        """The state to read ``tenant`` from; never creates a tenant.
+
+        A resident tenant is returned (and touched).  An evicted one is
+        answered from a detached view restored from its newest
+        checkpoint: the view is not made resident, so a read never
+        evicts (drains, checkpoints, fsyncs) another tenant, and it does
+        not count as a restore.  Views are cached, at most
+        :data:`MAX_VIEWS` of them, until the tenant turns resident again
+        -- the only way its checkpoint can change.  ``None`` for a
+        tenant that never ingested.
+        """
         with self._lock:
-            state = self._tenants.get(tenant)
+            state = self._touch(tenant)
             if state is not None:
-                self._tenants.move_to_end(tenant)
-                state.last_active = self.clock()
                 return state
+            view = self._views.get(tenant)
+            if view is not None:
+                self._views.move_to_end(tenant)
+                return view
             checkpoints = self._checkpoints_for(tenant)
-            if checkpoints is not None and checkpoints.latest_sequence() is not None:
-                return self.get_or_create(tenant)
-            return None
+            if checkpoints is None or checkpoints.latest_sequence() is None:
+                return None
+            view = self._build_state(tenant)
+            self._load(view)
+            self._views[tenant] = view
+            if len(self._views) > MAX_VIEWS:
+                self._views.popitem(last=False)
+            return view
+
+    def _touch(self, tenant: str) -> Optional[TenantState]:
+        """The resident state, moved to the most-recently-used end."""
+        state = self._tenants.get(tenant)
+        if state is not None:
+            self._tenants.move_to_end(tenant)
+            state.last_active = self.clock()
+        return state
+
+    def _load(self, state: TenantState) -> bool:
+        """Restore ``state`` from its newest checkpoint, if there is one."""
+        if not state.daemon.restore_latest():
+            return False
+        # restore_latest swapped the monitor object: the guarantee
+        # tracker (if any) must audit the restored instance.
+        if state.guarantee is not None:
+            state.guarantee.monitor = state.daemon.monitor
+        state.restored = True
+        return True
 
     def _restore(self, state: TenantState) -> None:
-        if state.daemon.restore_latest():
-            # restore_latest swapped the monitor object: the guarantee
-            # tracker (if any) must audit the restored instance.
-            if state.guarantee is not None:
-                state.guarantee.monitor = state.daemon.monitor
-            state.restored = True
+        if self._load(state):
             self.restored += 1
             self.telemetry.count("service_tenants_restored_total")
 

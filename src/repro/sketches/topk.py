@@ -16,6 +16,8 @@ from __future__ import annotations
 import heapq
 from typing import Dict, Iterator, List, Tuple
 
+import numpy as np
+
 from repro.metrics.opcount import NULL_OPS
 
 
@@ -84,6 +86,58 @@ class TopK:
         self._push(key, estimate)
         self.ops.heap_op(2)
         return True
+
+    def offer_sorted(self, keys, estimates) -> None:
+        """Offer sorted distinct keys in order, as a loop of :meth:`offer` would.
+
+        Leaves ``_heap``, ``_best`` (insertion order included) and the
+        ``ops`` table-lookup/heap-op totals exactly as calling
+        ``offer(key, estimate)`` for each pair in order does, but skips
+        the Python call for keys that cannot change the store.
+
+        Once the store is full its minimum never falls: an eviction
+        replaces the minimum with a larger estimate, and a re-offer only
+        raises a tracked estimate.  So a key that is untracked once the
+        store is full, with an estimate at most the minimum at that
+        point, is rejected when its turn comes (the keys are distinct,
+        so nothing admits it first).  Those keys are billed their table
+        lookups in one call; every other key, tracked ones included,
+        goes through :meth:`offer` and sees the live state.  Each
+        rejection of an untracked key also runs :meth:`_peek_valid`,
+        which pops stale heap entries; it is idempotent until the heap
+        next changes, so it is replayed once in each gap between offered
+        keys that holds a skipped key.
+        """
+        keys = np.asarray(keys)
+        estimates = np.asarray(estimates, dtype=np.float64)
+        best = self._best
+        # Fill phase: at most k - len new keys, plus at most len tracked
+        # ones (the keys are distinct), so this loop is bounded by ~2k.
+        start = 0
+        while start < len(keys) and len(best) < self.k:
+            self.offer(int(keys[start]), float(estimates[start]))
+            start += 1
+        keys = keys[start:]
+        estimates = estimates[start:]
+        if not len(keys):
+            return
+
+        tracked = np.sort(np.fromiter(best, dtype=keys.dtype, count=len(best)))
+        slot = np.minimum(np.searchsorted(tracked, keys), len(tracked) - 1)
+        skip = (estimates <= min(best.values())) & (tracked[slot] != keys)
+        offered = np.flatnonzero(~skip)
+        self.ops.table_lookup(len(keys) - len(offered))
+        # Gap g holds the skipped keys between offered key g-1 and key g.
+        peek = np.zeros(len(offered) + 1, dtype=bool)
+        peek[np.searchsorted(offered, np.flatnonzero(skip))] = True
+        peek = peek.tolist()
+        if peek[0]:
+            self._peek_valid()
+        pairs = zip(keys[offered].tolist(), estimates[offered].tolist())
+        for gap, (key, estimate) in enumerate(pairs, 1):
+            self.offer(key, estimate)
+            if peek[gap]:
+                self._peek_valid()
 
     def _push(self, key: int, estimate: float) -> None:
         """Push a live entry, compacting if stale entries piled up."""

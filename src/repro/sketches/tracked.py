@@ -14,6 +14,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.kernels.distinct import sorted_distinct
 from repro.sketches.base import CanonicalSketch
 from repro.sketches.topk import TopK
 
@@ -53,14 +54,12 @@ class TrackedSketch:
         if len(keys) == 0:
             return
         self.sketch.update_batch(keys, weights)
-        unique = np.unique(keys)
+        unique = sorted_distinct(keys)
         # Scalar ingest probes the top-keys table once per packet; the
         # batch path only offers distinct keys, so bill the difference to
         # keep operation counts faithful to the per-packet workflow.
         self.sketch.ops.table_lookup(len(keys) - len(unique))
-        estimates = self.sketch.query_batch(unique)
-        for key, estimate in zip(unique.tolist(), estimates.tolist()):
-            self.topk.offer(int(key), float(estimate))
+        self.topk.offer_sorted(unique, self.sketch.query_batch(unique))
 
     def query(self, key: int) -> float:
         return self.sketch.query(key)

@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.hashing.families import derive_seeds
 from repro.hashing.tabulation import TabulationHash
+from repro.kernels.distinct import sorted_distinct
 from repro.metrics.opcount import NULL_OPS
 from repro.sketches.countsketch import CountSketch
 from repro.sketches.topk import TopK
@@ -110,13 +111,11 @@ class HeavyHitterSketch:
         if len(keys) == 0:
             return
         self.sketch.update_batch(keys, weights)
-        unique = np.unique(keys)
+        unique = sorted_distinct(keys)
         # Bill the per-packet top-keys probes the scalar workflow performs
         # (the batch path only offers each distinct key once).
         self.sketch.ops.table_lookup(len(keys) - len(unique))
-        estimates = self.sketch.query_batch(unique)
-        for key, estimate in zip(unique.tolist(), estimates.tolist()):
-            self.topk.offer(int(key), float(estimate))
+        self.topk.offer_sorted(unique, self.sketch.query_batch(unique))
 
     def query(self, key: int) -> float:
         return self.sketch.query(key)

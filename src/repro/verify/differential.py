@@ -6,9 +6,10 @@ the same packet stream -- scalar ``update``, fused ``update_batch``,
 checkpoint-restored, and ``merge``-of-shards -- must agree:
 
 * **bit-exact where deterministic** -- vanilla scalar vs vanilla batch
-  (the fused kernels are bit-exact for integral increments), shard
-  merges of linear sketches, checkpoint round-trips, reset-then-reuse
-  vs fresh construction, and same-seed reruns of any one path;
+  (the fused kernels are bit-exact for integral increments), batched
+  top-k admission vs the per-key offer loop, shard merges of linear
+  sketches, checkpoint round-trips, reset-then-reuse vs fresh
+  construction, and same-seed reruns of any one path;
 * **within the Theorem-2 envelope where randomized** -- Nitro's scalar
   and batch paths draw from independent PRNG streams, so their counter
   grids differ per-draw; their *estimates* must still sit within
@@ -19,16 +20,18 @@ checkpoint-restored, and ``merge``-of-shards -- must agree:
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.control.export import deserialize_monitor, serialize_monitor
 from repro.core.config import NitroConfig, NitroMode
 from repro.core.nitro import NitroSketch
+from repro.metrics.opcount import OpCounter
 from repro.sketches.countmin import CountMinSketch
 from repro.sketches.countsketch import CountSketch
 from repro.sketches.kary import KArySketch
+from repro.sketches.topk import TopK
 from repro.traffic.traces import Trace, caida_like
 from repro.verify.result import CheckResult
 
@@ -105,6 +108,141 @@ def check_vanilla_scalar_vs_batch(
         "scalar and fused batch ingest bit-exact over %d sketch familie(s)"
         % len(factories),
         packets=float(packets),
+    )
+
+
+#: Edge cases the top-k differential check must exercise (see
+#: :func:`_compare_topk_batches`).
+TOPK_CASES = ("fill", "tie", "fall", "evicted_reoffer")
+
+TopKBatch = Tuple["np.ndarray", "np.ndarray"]
+
+
+def _compare_topk_batches(
+    k: int, batches: Sequence[TopKBatch]
+) -> Tuple[Optional[str], Dict[str, int]]:
+    """Drive ``TopK.offer_sorted`` and the per-key ``offer`` loop side by side.
+
+    Each batch is ``(sorted distinct keys, estimates)``.  After every
+    batch the two stores must hold the same heap list, the same
+    membership dict in the same insertion order, and the same op
+    totals.  Returns the first divergence (``None`` when there is none)
+    and how often each :data:`TOPK_CASES` edge case came up: a batch
+    offered while the store was filling, an estimate equal to its
+    stored value or to the batch-start minimum, a tracked key offered
+    lower, and a tracked key offered after a key earlier in the same
+    batch evicted it.
+    """
+    batched, scalar = TopK(k), TopK(k)
+    batched.ops, scalar.ops = OpCounter(), OpCounter()
+    cases = dict.fromkeys(TOPK_CASES, 0)
+    for index, (keys, estimates) in enumerate(batches):
+        start = dict(scalar._best)
+        floor = min(start.values()) if start else None
+        cases["fill"] += len(start) < k
+        for key, estimate in zip(keys.tolist(), estimates.tolist()):
+            stored = start.get(key)
+            cases["tie"] += estimate in (stored, floor)
+            if stored is not None:
+                cases["fall"] += estimate < stored
+                cases["evicted_reoffer"] += key not in scalar
+            scalar.offer(key, estimate)
+        batched.offer_sorted(keys, estimates)
+        if batched._heap != scalar._heap:
+            return "batch %d: heap lists differ" % index, cases
+        if list(batched._best.items()) != list(scalar._best.items()):
+            return "batch %d: tracked keys or their order differ" % index, cases
+        if batched.ops != scalar.ops:
+            return (
+                "batch %d: op totals differ (batched %s, per-key %s)"
+                % (index, batched.ops.as_dict(), scalar.ops.as_dict()),
+                cases,
+            )
+    return None, cases
+
+
+def _stale_top_scenarios(k: int) -> List[List[TopKBatch]]:
+    """Batch streams whose final heap depends on the oracle's rejection peeks.
+
+    Each fills a store with keys ``100..`` at estimates ``1..k`` and
+    raises one key so a stale entry sits at the heap top, then offers
+    one batch:
+
+    * an untracked low key before any other key (a peek in gap 0);
+    * key 0 evicts the minimum (key 100), an untracked low key is
+      rejected (its peek pops the stale entry), then key 101 rises, which
+      runs no peek of its own;
+    * the same, but key 100 itself comes back below its old estimate:
+      tracked when the batch starts, untracked at its turn.
+    """
+    filled = (np.arange(100, 100 + k), np.arange(1, k + 1, dtype=np.float64))
+    last = 100 + k - 1
+    scenarios = [
+        [
+            filled,
+            (np.array([100]), np.array([k + 0.5])),
+            (np.array([50, last]), np.array([0.1, 1e9])),
+        ]
+    ]
+    if k > 1:
+        raised = (np.array([101]), np.array([k + 0.5]))
+        for returning in (50, 100):
+            batch = (np.array([0, returning, 101]), np.array([k + 1.0, 0.5, 1e9]))
+            scenarios.append([filled, raised, batch])
+    return scenarios
+
+
+def _random_topk_batches(k: int, count: int, rng) -> List[TopKBatch]:
+    """Batches over a ``3k + 8``-key universe, so keys recur; every other
+    batch draws its estimates from four multiples of 10 (Count Sketch
+    estimates at p = 0.1 are multiples of 1/p) to force ties."""
+    universe = 3 * k + 8
+    batches = []
+    for index in range(count):
+        size = int(rng.integers(1, universe + 1))
+        keys = np.sort(rng.choice(universe, size, replace=False))
+        if index % 2:
+            estimates = rng.integers(0, 4, size) * 10.0
+        else:
+            estimates = np.round(rng.lognormal(2.0, 1.0, size), 1)
+        batches.append((keys, estimates))
+    return batches
+
+
+def check_topk_batch_vs_scalar(batches: int = 40, seed: int = 0) -> CheckResult:
+    """``TopK.offer_sorted`` must match the per-key ``offer`` loop exactly.
+
+    Every batch path admits its sampled keys through ``offer_sorted``;
+    the checkpoint format stores the heap list verbatim, so anything
+    short of an identical heap, dict and op tally changes served bytes.
+    Runs k = 1, 5 and 100 over scripted stale-heap-top scenarios plus
+    random batches, and fails if any :data:`TOPK_CASES` case never came
+    up (a check that stops reaching its edge cases proves nothing).
+    """
+    name = "differential.topk_batch_vs_scalar"
+    totals = dict.fromkeys(TOPK_CASES, 0)
+    for k in (1, 5, 100):
+        rng = np.random.default_rng([seed, k])
+        streams = _stale_top_scenarios(k) + [_random_topk_batches(k, batches, rng)]
+        for stream in streams:
+            divergence, cases = _compare_topk_batches(k, stream)
+            if divergence is not None:
+                return CheckResult.fail(
+                    name, "k=%d: %s" % (k, divergence), k=float(k)
+                )
+            for case, count in cases.items():
+                totals[case] += count
+    missing = [case for case, count in totals.items() if not count]
+    if missing:
+        return CheckResult.fail(
+            name, "batches never exercised: %s" % ", ".join(missing)
+        )
+    return CheckResult.ok(
+        name,
+        "offer_sorted identical to per-key offers (heap, dict, ops) over "
+        "k=1/5/100; cases %s"
+        % ", ".join("%s=%d" % item for item in totals.items()),
+        **{case: float(count) for case, count in totals.items()},
     )
 
 
@@ -352,6 +490,7 @@ def run_differential_checks(quick: bool = False, seed: int = 0) -> List[CheckRes
     envelope_packets = 8_000 if quick else 20_000
     results = [
         check_vanilla_scalar_vs_batch(packets=packets, seed=seed),
+        check_topk_batch_vs_scalar(batches=12 if quick else 40, seed=seed),
         check_merge_of_shards(packets=packets, seed=seed),
         check_checkpoint_roundtrip(packets=packets, seed=seed),
         check_reset_equivalence(packets=packets, seed=seed),

@@ -339,7 +339,7 @@ def check_lifecycle(packets: int, seed: int) -> List[CheckResult]:
             service.ingest_direct("second", trace.keys[5000:10000])
             service.ingest_direct("third", trace.keys[10000:15000])  # evicts "first"
             evicted_is_lru = "first" not in service.tenants
-            back = service.tenants.get("first")  # transparently restores
+            back = service.tenants.get("first")  # reads a view of its checkpoint
             roundtrip = (
                 back is not None
                 and back.restored

@@ -182,17 +182,23 @@ class TestFig13:
         assert projected["NetFlow (0.01)"] > projected["NitroSketch (UnivMon)"]
 
 
+@pytest.fixture(scope="module")
+def fig14_result():
+    """One Figure-14 run shared by both of its shape checks (read only)."""
+    return fig14.run(scale=0.01)
+
+
 class TestFig14:
-    def test_sketchvisor_error_grows_with_fast_fraction(self):
-        result = fig14.run(scale=0.01)
+    def test_sketchvisor_error_grows_with_fast_fraction(self, fig14_result):
+        result = fig14_result
         biggest = max(row["epoch_packets"] for row in result.rows)
         for trace in ("CAIDA", "DDoS"):
             sv20 = by(result.rows, trace=trace, epoch_packets=biggest, system="SketchVisor(20%)")[0]
             sv100 = by(result.rows, trace=trace, epoch_packets=biggest, system="SketchVisor(100%)")[0]
             assert sv100["hh_error_pct"] > sv20["hh_error_pct"]
 
-    def test_sketchvisor_accurate_on_dc(self):
-        result = fig14.run(scale=0.01)
+    def test_sketchvisor_accurate_on_dc(self, fig14_result):
+        result = fig14_result
         biggest = max(row["epoch_packets"] for row in result.rows)
         dc = by(result.rows, trace="DC", epoch_packets=biggest, system="SketchVisor(100%)")[0]
         assert dc["hh_error_pct"] < 5.0

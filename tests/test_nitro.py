@@ -76,6 +76,31 @@ class TestSampledMode:
             expected, rel=0.15
         )
 
+    def test_batch_packets_sampled_counts_distinct_packets(self, monkeypatch):
+        """The batch path's first-of-packet count equals the distinct
+        packet indices of the sampled slots (``np.unique(packet_idx)``)."""
+        import repro.core.nitro as nitro_module
+
+        depth = 5
+        nitro = make_nitro(probability=0.3, depth=depth, seed=13)
+        drawn = []
+        real = nitro_module.geometric_positions
+
+        def recording(probability, span, rng):
+            first = nitro._pending
+            tail, leftover = real(probability, span, rng)
+            drawn.append(np.concatenate([[first], first + 1 + tail]))
+            return tail, leftover
+
+        monkeypatch.setattr(nitro_module, "geometric_positions", recording)
+        keys = zipf_keys(20000, 1000, 1.1, seed=13)
+        for start in range(0, len(keys), 4096):
+            before = nitro.packets_sampled
+            nitro.update_batch(keys[start : start + 4096])
+            expected = int(np.unique(drawn[-1] // depth).size)
+            assert nitro.packets_sampled - before == expected
+        assert len(drawn) == 5
+
     def test_increments_scaled_by_inverse_p(self):
         nitro = make_nitro(probability=0.25, depth=1, width=1, seed=7)
         for _ in range(4000):

@@ -97,6 +97,10 @@ class TestWireProtocol:
         batch = records.batch_from_keys(np.array([5, 6], dtype=np.int64))
         assert len(batch) == 2
         np.testing.assert_array_equal(batch.keys, [5, 6])
+        np.testing.assert_array_equal(batch.sizes, [64.0, 64.0])
+        np.testing.assert_array_equal(batch.timestamps, [0.0, 0.0])
+        assert batch.duration_seconds == 0.0
+        assert batch.wire_bits == 2 * (64 + 20) * 8
 
 
 class TestTenantDerivation:
@@ -186,6 +190,37 @@ class TestTenantManager:
         back = manager.get_or_create("first")
         assert back.restored
         assert serialize_monitor(back.daemon.monitor) == before
+
+    def test_get_reads_evicted_tenant_from_a_cached_view(self, tmp_path):
+        config = ServiceConfig(
+            max_tenants=2, checkpoint_dir=str(tmp_path), epoch_batches=0
+        )
+        manager = TenantManager(config)
+        first = self._ingest(manager, "first", seed=1)
+        before = serialize_monitor(first.daemon.monitor)
+        self._ingest(manager, "second", seed=2)
+        self._ingest(manager, "third", seed=3)  # evicts "first"
+        view = manager.get("first")
+        assert view.restored
+        assert serialize_monitor(view.daemon.monitor) == before
+        # A read neither makes the tenant resident, nor evicts another,
+        # nor counts as a restore; repeat reads reuse the view.
+        assert manager.tenants() == ["second", "third"]
+        assert (manager.evicted, manager.restored) == (1, 0)
+        assert manager.get("first") is view
+        # Ingest makes it resident again (a counted restore) and retires
+        # the view: the next eviction writes a newer checkpoint.
+        resident = self._ingest(manager, "first", seed=4)
+        assert resident is not view and manager.restored == 1
+        assert manager.get("first") is resident
+        self._ingest(manager, "second", seed=5)
+        self._ingest(manager, "third", seed=6)  # evicts "first" again
+        after = manager.get("first")
+        assert after is not view
+        assert serialize_monitor(after.daemon.monitor) == serialize_monitor(
+            resident.daemon.monitor
+        )
+        assert manager.get("ghost") is None
 
     def test_eviction_drains_queue_before_checkpoint(self, tmp_path):
         config = ServiceConfig(
@@ -282,6 +317,42 @@ class TestServiceEndToEnd:
             overrides.setdefault("checkpoint_dir", str(tmp_path))
         config = ServiceConfig(**overrides)
         return MonitoringService(config, telemetry=Telemetry()).start()
+
+    def test_idle_sweep_runs_while_another_tenant_ingests(self, tmp_path):
+        """The idle sweep is on its own clock: a steady stream into one
+        tenant must not keep an idle one resident forever."""
+        import time
+
+        service = self._start(tmp_path, idle_seconds=0.3, epoch_batches=0)
+        try:
+            with IngestClient("127.0.0.1", service.ingest_port) as client:
+                client.ingest("idle", np.arange(10, dtype=np.int64))
+                client.sync("idle")
+                deadline = time.monotonic() + 5.0
+                while "idle" in service.tenants and time.monotonic() < deadline:
+                    client.ingest("busy", np.arange(10, dtype=np.int64))
+                    time.sleep(0.05)
+                client.sync("busy")
+            assert "idle" not in service.tenants
+            assert "busy" in service.tenants
+        finally:
+            service.stop()
+
+    def test_client_disables_nagle(self):
+        """A sync right after an ingest frame must not wait for the
+        server's delayed ACK: the client sets TCP_NODELAY."""
+        import socket
+
+        service = self._start()
+        try:
+            with IngestClient("127.0.0.1", service.ingest_port) as client:
+                assert client._sock.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+                client.ingest("acme", np.arange(10, dtype=np.int64))
+                assert client.sync("acme")["packets_ingested"] == 10
+        finally:
+            service.stop()
 
     def test_wire_ingest_and_query_plane(self):
         service = self._start()

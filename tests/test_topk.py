@@ -1,5 +1,6 @@
 """Tests for repro.sketches.topk.TopK."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -171,3 +172,101 @@ class TestHeapCompaction:
         for index in range(100):
             topk.offer(index, float(index))
         assert topk.check_invariants() == []
+
+
+def _paired(k):
+    """Two empty stores with op counters: one batched, one per-key."""
+    batched, scalar = TopK(k), TopK(k)
+    batched.ops, scalar.ops = OpCounter(), OpCounter()
+    return batched, scalar
+
+
+def _offer_both(batched, scalar, keys, estimates):
+    """offer_sorted on one store, the per-key offer loop on the other,
+    then require identical heap lists, dicts (in order) and op totals."""
+    keys = np.asarray(keys)
+    estimates = np.asarray(estimates, dtype=np.float64)
+    for key, estimate in zip(keys.tolist(), estimates.tolist()):
+        scalar.offer(key, estimate)
+    batched.offer_sorted(keys, estimates)
+    assert batched._heap == scalar._heap
+    assert list(batched._best.items()) == list(scalar._best.items())
+    assert batched.ops == scalar.ops
+
+
+@st.composite
+def _batch_streams(draw):
+    k = draw(st.sampled_from([1, 5, 100]))
+    # Count Sketch estimates at p = 0.1 are multiples of 1/p: mixing them
+    # in makes ties with stored estimates and the minimum common.
+    estimate = st.one_of(
+        st.sampled_from([0.0, 10.0, 20.0, 30.0]),
+        st.floats(0.0, 100.0, allow_nan=False),
+    )
+    batch = st.dictionaries(st.integers(0, 3 * k + 8), estimate, max_size=3 * k + 9)
+    return k, draw(st.lists(batch, min_size=1, max_size=6))
+
+
+class TestOfferSorted:
+    """``offer_sorted`` against the per-key ``offer`` loop it replaces."""
+
+    @given(_batch_streams())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_offer_loop_after_every_batch(self, stream):
+        k, batches = stream
+        batched, scalar = _paired(k)
+        for batch in batches:
+            keys = sorted(batch)
+            _offer_both(batched, scalar, keys, [batch[key] for key in keys])
+
+    @pytest.mark.parametrize("k", [1, 5, 100])
+    def test_fill_phase_then_prefilter(self, k):
+        batched, scalar = _paired(k)
+        _offer_both(batched, scalar, np.arange(0, 2 * k, 2), np.arange(k) * 10.0)
+        assert len(batched) == k
+        # The store fills part-way through this batch.
+        _offer_both(batched, scalar, np.arange(3 * k), np.arange(3 * k) * 10.0)
+
+    @pytest.mark.parametrize("k", [1, 5, 100])
+    def test_all_tie_batch(self, k):
+        batched, scalar = _paired(k)
+        _offer_both(batched, scalar, np.arange(k), np.full(k, 10.0))
+        _offer_both(batched, scalar, np.arange(3 * k), np.full(3 * k, 10.0))
+        assert set(batched.keys()) == set(range(k))
+
+    def test_tracked_estimate_falls(self):
+        batched, scalar = _paired(5)
+        _offer_both(batched, scalar, np.arange(5), np.arange(1, 6) * 10.0)
+        _offer_both(batched, scalar, np.arange(5), np.full(5, 5.0))
+        assert batched.estimate(4) == 50.0
+
+    def test_rejection_peek_before_first_offered_key(self):
+        """An untracked key rejected before any offered key pops the stale
+        heap top in the oracle; the batch must replay that peek."""
+        batched, scalar = _paired(3)
+        _offer_both(batched, scalar, [100, 101, 102], [1.0, 2.0, 3.0])
+        _offer_both(batched, scalar, [100], [5.0])
+        assert batched._heap[0] == (1.0, 100)  # stale
+        _offer_both(batched, scalar, [50, 102], [0.1, 9.0])
+        assert (1.0, 100) not in batched._heap
+
+    @pytest.mark.parametrize("k", [2, 5, 100])
+    @pytest.mark.parametrize("returning", [50, 100])
+    def test_peek_between_offered_keys(self, k, returning):
+        """Key 0 evicts key 100, leaving the stale (2.0, 101) on top; the
+        next key is rejected with a peek that pops it, and key 101 then
+        rises without a peek of its own.  The rejected key is either a
+        new one (skipped by the batch, so its peek must be replayed) or
+        key 100 itself: tracked at batch start, untracked at its turn."""
+        batched, scalar = _paired(k)
+        _offer_both(batched, scalar, np.arange(100, 100 + k), np.arange(1.0, k + 1))
+        _offer_both(batched, scalar, [101], [k + 0.5])
+        _offer_both(batched, scalar, [0, returning, 101], [k + 1.0, 0.5, 1e9])
+        assert 100 not in batched and 0 in batched
+        assert (2.0, 101) not in batched._heap
+
+    def test_empty_batch_is_noop(self):
+        batched, scalar = _paired(2)
+        _offer_both(batched, scalar, np.array([], dtype=np.int64), [])
+        _offer_both(batched, scalar, [1, 2], [1.0, 2.0])
+        _offer_both(batched, scalar, np.array([], dtype=np.int64), [])
